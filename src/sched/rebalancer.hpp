@@ -201,9 +201,9 @@ class Rebalancer {
 
   std::unique_ptr<Scorer> scorer_;
   /// Planning never mutates the cluster, so Rebalancer stays const at the
-  /// call sites; the scratch is a per-pass cache. Not synchronized: replay()
-  /// owns one serial Rebalancer and every shard owns its own, so a scratch
-  /// is only ever used by one thread.
+  /// call sites; the scratch is a per-pass cache. Not synchronized: every
+  /// replay shard owns its own Rebalancer, so a scratch is only ever used
+  /// by one thread.
   mutable PlanScratch scratch_;
 };
 

@@ -19,10 +19,10 @@
 //    field-for-field with the authoritative host rows.
 //
 // An empty result means the state is coherent. The audit is O(VMs) and
-// cheap enough to run after every event in tests: replay() does exactly
-// that when the process-wide debug-audit flag is set (ScopedDebugAudit),
-// which lets the pre-fault sweep tests assert the same invariants on the
-// old code paths for free.
+// cheap enough to run after every event in tests: the replay engine
+// (sim/shard.hpp) does exactly that when the process-wide debug-audit flag
+// is set (ScopedDebugAudit), which lets the pre-fault sweep tests assert
+// the same invariants on the old code paths for free.
 #pragma once
 
 #include <span>
@@ -47,9 +47,10 @@ namespace slackvm::sim {
 /// conservation.
 [[nodiscard]] std::vector<std::string> audit(const Datacenter& dc);
 
-/// Process-wide debug-audit flag: while set, replay() runs audit() after
-/// every simulation event and throws core::SlackError on the first
-/// violation. Off by default (the audit is for tests, not production runs).
+/// Process-wide debug-audit flag: while set, the replay engine runs audit()
+/// after every simulation event (a multi-shard run: over the shard's own
+/// clusters, and over the whole datacenter at barriers) and throws
+/// core::SlackError on the first violation. Off by default (the audit is for tests, not production runs).
 void set_debug_audit(bool enabled) noexcept;
 [[nodiscard]] bool debug_audit_enabled() noexcept;
 

@@ -3,22 +3,17 @@
 // order, which makes every simulation fully deterministic.
 //
 // Lanes are a coarse priority band compared before the insertion-order
-// tie-break. They exist for the streaming replay (sim/event_source.hpp):
-// the materialized replay schedules every workload event before any
-// control event (rebalance passes, usage samples, the fault timetable), so
-// at equal timestamps workload events always fired first purely by
-// insertion order. A streaming replay inserts workload events lazily —
-// mid-run, after the control events — and the workload lane (kLaneWorkload
-// < kLaneControl) preserves the exact same firing order without knowing
-// the trace length up front. Within one lane the insertion-order tie-break
-// applies unchanged, and a queue whose events all share a lane behaves
-// exactly like the historical (time, insertion) ordering.
+// tie-break. The replay engine (sim/shard.hpp) lays out its control events
+// (rebalance passes, usage samples, the fault timetable) up-front but
+// inserts trace rows lazily as it pulls them (sim/event_source.hpp); the
+// workload lane (kLaneWorkload < kLaneControl) still fires a row's events
+// before control events at the same timestamp, exactly as if every row had
+// been scheduled first. Within one lane the insertion-order tie-break
+// applies unchanged.
 //
-// That tie-break is queue-local: it totally orders events *within* one
-// queue, but says nothing about events in different queues. The sharded
-// engine (sim/shard.hpp) runs one EventQueue per shard, so cross-shard
-// ordering needs its own rule — samples are merged by ascending time, ties
-// across queues to the lowest shard index, within a queue in fire order
+// That tie-break is queue-local. The engine runs one EventQueue per shard,
+// so cross-shard ordering has its own rule: samples merge by ascending
+// time, ties to the lowest shard index, within a queue in fire order
 // (shard_merge_order). Regression-tested in tests/sim_event_queue_test.cpp
 // and tests/sim_shard_test.cpp.
 #pragma once

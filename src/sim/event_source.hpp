@@ -1,13 +1,11 @@
 // Pull-based workload event sources: the seam between trace ingestion and
 // the replay engines.
 //
-// Historically replay()/replay_sharded() took a materialized
-// workload::Trace and scheduled every arrival/departure up-front — O(trace)
-// events resident before the first one fired. EventSource inverts that: the
-// engine *pulls* rows one at a time (peek/advance, arrivals nondecreasing)
-// and schedules them lazily on the workload lane
+// The replay engine *pulls* rows one at a time (peek/advance, arrivals
+// nondecreasing) and schedules them lazily on the workload lane
 // (EventQueue::kLaneWorkload), so only the active window of the trace is
-// ever in memory. Three implementations cover the workload zoo:
+// ever in memory — never O(trace) events resident up-front. Three
+// implementations cover the workload zoo:
 //
 //  * MaterializedSource  — wraps a Trace; exact size and horizon hints.
 //    replay(dc, trace, ...) is now sugar for this, so the materialized and
@@ -22,10 +20,10 @@
 //    departures can exceed GeneratorConfig::horizon (the arrival+1 bump at
 //    the edge), so the true horizon is data-dependent.
 //
-// Hint contract: hints are optional. Engines use size_hint() purely as a
-// container reserve (never a decision input), and horizon_hint() to lay out
-// periodic control schedules (rebalance passes, usage samples, the fault
-// timetable) and barrier windows. Configurations that need the horizon
+// Hint contract: hints are optional. The engine uses size_hint() purely as
+// a container reserve (never a decision input), and horizon_hint() to lay
+// out periodic control schedules (rebalance passes, usage samples, the
+// fault timetable) and multi-shard barrier windows. Configurations that need the horizon
 // up-front throw when the source cannot provide it — pre-scan or
 // materialize in that case. When present, horizon_hint() must equal the
 // latest departure of the full row stream (Trace::horizon()).
@@ -68,8 +66,8 @@ class EventSource {
   [[nodiscard]] virtual std::optional<std::size_t> size_hint() const = 0;
 
   /// Latest departure across the whole stream (== Trace::horizon()), when
-  /// known up-front. Required by replay_sharded (barrier windows) and by
-  /// replay configurations with periodic control schedules.
+  /// known up-front. Required by multi-shard replays (barrier windows) and
+  /// by replay configurations with periodic control schedules.
   [[nodiscard]] virtual std::optional<core::SimTime> horizon_hint() const = 0;
 };
 
@@ -102,7 +100,8 @@ class MaterializedSource final : public EventSource {
 
 /// EventSource over a streaming TraceReader (owned). Pass the result of a
 /// TraceReader::scan() pre-pass to provide the hints sharded/periodic
-/// replays need; without it the source works for plain serial replays only.
+/// replays need; without it the source works for plain one-shard replays
+/// only.
 class StreamingTraceSource final : public EventSource {
  public:
   explicit StreamingTraceSource(
@@ -144,8 +143,8 @@ class StreamingTraceSource final : public EventSource {
 
 /// EventSource over the synthetic generator's row stream. The generator
 /// (and its catalog) must outlive the source. No horizon hint — see the
-/// file comment — so this pairs with plain serial replays; materialize via
-/// Generator::generate() when a horizon is needed.
+/// file comment — so this pairs with plain one-shard replays; materialize
+/// via Generator::generate() when a horizon is needed.
 class GeneratorSource final : public EventSource {
  public:
   explicit GeneratorSource(const workload::Generator& gen) : stream_(gen.stream()) {}

@@ -1,5 +1,6 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -80,80 +81,45 @@ CellResult run_cell(const workload::Catalog& catalog, const workload::LevelMix& 
   // Both organisations replay the same fault timetable (seed resolved from
   // the cell's workload seed), so the comparison stays apples-to-apples.
   const FaultConfig faults = resolve_fault_seed(config.faults, gen_cfg.seed);
-  const FaultConfig* fault_ptr = faults.enabled() ? &faults : nullptr;
 
   // Same story for the rebalance loop: both organisations consolidate on
   // the same cadence with the same migration semantics (instant or
-  // time-extended flights).
-  std::optional<RebalanceOptions> rebalance;
+  // time-extended flights). Threads stay at 1: the grid already fans cells
+  // out across the pool, and a replay is bit-identical at any thread count.
+  ShardOptions options;
+  options.shards = std::max<std::size_t>(1, config.shards);
+  options.faults = faults.enabled() ? &faults : nullptr;
   if (config.rebalance_interval > 0) {
-    rebalance.emplace();
-    rebalance->interval = config.rebalance_interval;
-    rebalance->budget_per_pass = config.rebalance_budget;
-    rebalance->migration = config.migration;
-    rebalance->interference = config.interference;
+    options.rebalance = RebalanceOptions{config.rebalance_interval,
+                                         config.rebalance_budget, config.migration,
+                                         config.interference};
   }
 
   // With interference armed the shared organisation also scores placements
   // heat-aware; the dedicated baseline keeps First-Fit (it has no scoring
   // stage to stack the penalty onto) but still runs the same heat/polluter
   // schedules, so the comparison stays apples-to-apples on the loop cost.
-  const bool interference =
-      rebalance.has_value() && rebalance->interference.enabled;
+  const bool interference = options.rebalance && config.interference.enabled;
   const auto shared_policy = [&]() -> std::unique_ptr<sched::PlacementPolicy> {
     if (interference) {
       return sched::make_interference_policy(config.interference.heat_weight);
     }
     return sched::make_progress_policy();
   };
-
-  CellResult cell;
-  if (config.shards <= 1) {
-    // Baseline: dedicated First-Fit clusters.
-    Datacenter baseline = Datacenter::dedicated(config.host_config, levels,
-                                                sched::make_first_fit, config.mem_oversub);
-    baseline.set_index_enabled(config.use_index);
-    {
-      const std::unique_ptr<EventSource> source = open_source();
-      cell.baseline = replay(baseline, *source, rebalance, nullptr, fault_ptr);
-    }
-
-    // SlackVM: one shared cluster, Algorithm-2 progress scoring (heat-aware
-    // when the interference loop is armed).
-    Datacenter slackvm =
-        Datacenter::shared(config.host_config, shared_policy, config.mem_oversub);
-    slackvm.set_index_enabled(config.use_index);
-    {
-      const std::unique_ptr<EventSource> source = open_source();
-      cell.slackvm = replay(slackvm, *source, rebalance, nullptr, fault_ptr);
-    }
-    return cell;
-  }
-
-  // Sharded engine. Threads stay at 1 here: the experiment grid is already
-  // fanned out across cells by ParallelRunner, so nesting pools would
-  // oversubscribe; the sharded run is bit-identical at any thread count.
-  ShardOptions shard_options;
-  shard_options.shards = config.shards;
-  shard_options.threads = 1;
-  shard_options.faults = fault_ptr;
-  shard_options.rebalance = rebalance;
-  Datacenter baseline = Datacenter::dedicated(config.host_config, levels,
-                                              sched::make_first_fit, config.mem_oversub);
-  baseline.set_index_enabled(config.use_index);
-  {
+  const auto run = [&](Datacenter dc) {
+    dc.set_index_enabled(config.use_index);
     const std::unique_ptr<EventSource> source = open_source();
-    cell.baseline = replay_sharded(baseline, *source, shard_options);
-  }
+    return replay_sharded(dc, *source, options);
+  };
 
-  Datacenter slackvm = Datacenter::shared_sharded(
-      config.host_config, shared_policy, config.shards, config.mem_oversub);
-  slackvm.set_index_enabled(config.use_index);
-  {
-    const std::unique_ptr<EventSource> source = open_source();
-    cell.slackvm = replay_sharded(slackvm, *source, shard_options);
-  }
-  return cell;
+  // Baseline: dedicated First-Fit clusters, dealt round-robin across
+  // shards. SlackVM: shared cells (one shared cluster at one shard),
+  // Algorithm-2 progress scoring (heat-aware when the loop is armed).
+  return CellResult{
+      run(Datacenter::dedicated(config.host_config, levels, sched::make_first_fit,
+                                config.mem_oversub)),
+      run(Datacenter::shared_sharded(config.host_config, shared_policy, options.shards,
+                                     config.mem_oversub))};
 }
 
 /// Reduce one distribution's repetition cells (in repetition order) into a

@@ -34,12 +34,11 @@ struct ExperimentConfig {
   /// results are reduced in grid order, so every value of this knob yields
   /// bit-identical results — it only changes wall-clock time.
   std::size_t parallelism = 1;
-  /// Shard count for the sharded datacenter engine (sim/shard.hpp): 1 runs
-  /// the serial replay() reference; > 1 replays through replay_sharded with
-  /// this many shards — in shared mode the datacenter becomes the
-  /// cell-partitioned Datacenter::shared_sharded organisation (VMs routed
-  /// by id across `shards` shared clusters), in dedicated mode the level
-  /// clusters are dealt round-robin across shards. A given shard count is
+  /// Shard count of the replay engine (sim/shard.hpp, replay_sharded): 1
+  /// replays one shared cluster on one shard; > 1 makes the shared
+  /// organisation the cell-partitioned Datacenter::shared_sharded (VMs
+  /// routed by id across `shards` shared clusters) and deals the dedicated
+  /// level clusters round-robin across shards. A given shard count is
   /// bit-identical across parallelism and index settings (CLI/scenario:
   /// --shards).
   std::size_t shards = 1;

@@ -96,10 +96,11 @@ inline constexpr std::uint64_t kFaultSeedStream = 0xFA173EED;
 
 /// Which slice of the datacenter a FaultInjector drives: clusters whose
 /// index is `shard` modulo `of`. The default ({0, 1}) is the whole
-/// datacenter — the serial replay. The sharded engine (sim/shard.hpp) gives
+/// datacenter — a one-shard replay. The replay engine (sim/shard.hpp) gives
 /// each shard its own injector scoped to its clusters; every injector arms
 /// the full seeded timetable and keeps exactly the events it owns, so the
-/// union across shards is the serial timetable, split without overlap.
+/// union across shards is the whole-datacenter timetable, split without
+/// overlap.
 struct ShardScope {
   std::size_t shard = 0;
   std::size_t of = 1;
@@ -109,12 +110,12 @@ struct ShardScope {
   }
 };
 
-/// Drives one replay's fault timetable and evacuation queue. Owned by
-/// replay(); all mutation happens inside queue events, so the injector is
-/// exactly as deterministic as the queue.
+/// Drives one replay shard's fault timetable and evacuation queue. Owned by
+/// the replay engine (sim/shard.hpp); all mutation happens inside queue
+/// events, so the injector is exactly as deterministic as the queue.
 class FaultInjector {
  public:
-  /// `observe` is replay()'s metrics observation callback, invoked after
+  /// `observe` is the replay's metrics observation callback, invoked after
   /// every state-changing fault event. All references must outlive the
   /// injector (replay scope).
   /// `scope` restricts the injector to the clusters it owns (sharded runs);

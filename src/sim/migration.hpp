@@ -36,7 +36,7 @@
 // set, per-host busy counts), every decision happens inside a queue event,
 // and flights are scanned in ascending VmId order on fault notifications —
 // so a sharded run (one engine per shard, scoped to its clusters) schedules
-// exactly the serial per-cluster event sequence, and results are
+// exactly the one-shard per-cluster event sequence, and results are
 // bit-identical across shards x index x faults x threads
 // (tests/sim_migration_test.cpp).
 #pragma once
@@ -75,7 +75,7 @@ struct MigrationConfig {
   /// Concurrent flights a single host may source *or* sink (its NIC budget).
   std::size_t max_concurrent_per_host = 2;
   /// In-flight budget per cluster: further intents queue FIFO. Per cluster —
-  /// never global — so the sharded engines evolve exactly like the serial one.
+  /// never global — so the shard engines evolve exactly like a single one.
   std::size_t max_in_flight = 16;
   /// Abort a flight whose pre-copy has not completed after this long
   /// (0 = never). Timeouts are terminal: durations are deterministic, so a
@@ -90,7 +90,7 @@ struct MigrationConfig {
 
 /// Drives every in-flight migration of one replay (or one shard of it: pass
 /// the shard's scope and the engine ignores clusters it does not own).
-/// Owned by replay()/replay_sharded(); all mutation happens inside queue
+/// Owned by the replay engine (sim/shard.hpp); all mutation happens inside queue
 /// events, so the engine is exactly as deterministic as the queue.
 class MigrationEngine {
  public:

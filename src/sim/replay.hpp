@@ -1,5 +1,6 @@
 // Trace replay: drive a Datacenter with a workload trace through the
-// event queue and collect run metrics.
+// event queue and collect run metrics. replay() is the one-shard case of
+// the replay engine (sim/shard.hpp, replay_sharded).
 #pragma once
 
 #include <optional>
@@ -32,23 +33,21 @@ struct RebalanceOptions {
   std::size_t budget_per_pass = 64;         ///< migration cap per cluster/pass
   MigrationConfig migration{};              ///< time-extended flight knobs
   sched::InterferenceOptions interference{};  ///< heat + polluter-pass knobs
+
+  /// Throws core::SlackError unless `interval` is finite and > 0 (a pass
+  /// schedule over any other value never terminates) and the enabled
+  /// interference knobs are in range. The engine calls it on entry.
+  void validate() const;
 };
 
 /// Drain `source` (sim/event_source.hpp) against `dc` (which must be
-/// fresh). Deterministic. Rows are pulled and scheduled incrementally, so
-/// resident memory is O(active window) — a multi-GB trace streams through
-/// without ever being materialized. With `rebalance` set, a consolidation
-/// pass runs every interval; with `usage_monitor` set, effective-usage
-/// samples are taken at the monitor's interval throughout the run. With
+/// fresh): replay_sharded (sim/shard.hpp) with one shard. With `rebalance`
+/// set, a consolidation pass runs every interval; with `usage_monitor` set,
+/// effective-usage samples are taken at the monitor's interval; with
 /// `faults` set (and enabled), a FaultInjector drives host
-/// failures/drains/repairs and the evacuation engine through the same
-/// event queue; pass the config through resolve_fault_seed first when its
-/// seed should follow the workload seed. Any of those three schedules
-/// needs the horizon before the first event fires: the call throws if the
-/// source has no horizon hint (pre-scan with TraceReader::scan, or
-/// materialize). While the debug-audit flag is set (sim/audit.hpp), every
-/// event is followed by a full invariant audit that throws on the first
-/// violation.
+/// failures/drains/repairs and evacuations (pass the config through
+/// resolve_fault_seed first when its seed should follow the workload
+/// seed). Each of these needs a horizon hint; a plain replay needs none.
 [[nodiscard]] RunResult replay(Datacenter& dc, EventSource& source,
                                const std::optional<RebalanceOptions>& rebalance =
                                    std::nullopt,

@@ -1,41 +1,36 @@
-// Sharded datacenter execution: run one Datacenter's clusters concurrently
-// on the ThreadPool, bit-identically to the serial replay.
+// The replay engine: drive one Datacenter through a workload trace with
+// its clusters sharded across the ThreadPool. replay() (sim/replay.hpp) is
+// this engine with one shard.
 //
-// The unit of parallelism is the VCluster (Stillwell et al.'s per-cluster
-// decomposition): shard k owns the clusters whose index is k modulo the
-// shard count, and — because placement routing (Datacenter::route) is a
-// pure function of (VmId, spec) — no event of one shard ever reads or
-// writes another shard's state. Each shard therefore gets its own
-// EventQueue, its own partial RunResult counters, its own FaultInjector
-// (scoped so the per-shard timetables partition the serial one), and its
-// own sample log of metric observations.
+// Shard k owns the clusters whose index is k modulo the shard count
+// (Stillwell et al.'s per-cluster decomposition). Placement routing
+// (Datacenter::route) is a pure function of (VmId, spec), so no event of
+// one shard reads or writes another shard's state. Each shard owns an
+// EventQueue, partial RunResult counters, a sample log, and a
+// FaultInjector and MigrationEngine scoped to its clusters (ShardScope).
+// Every control schedule — the per-cluster control tick (polluter pass,
+// consolidation, then request to the engine or apply now), the heat ticks,
+// the usage samples and the fault timetable — exists once, per shard.
 //
-// Determinism comes from two disciplines, both inherited from
-// sim/parallel.hpp rather than invented here:
+// Determinism: everything stochastic is a pure function of (seed, k);
+// within a shard the EventQueue's insertion-order tie-break applies; and
+// the sample logs merge into the single MetricsCollector in a fixed
+// cross-shard order (ascending time, ties to the lowest shard, within a
+// shard in log order: shard_merge_order) as exact integer aggregates. Every
+// RunResult field is therefore bit-identical at every thread count.
 //
-//  * *Grid-seeded schedules* — everything stochastic (the fault timetable)
-//    is a pure function of (seed, k), never of thread scheduling; within a
-//    shard the EventQueue's insertion-order tie-break applies unchanged.
-//  * *Fixed-order reduction* — per-shard sample logs are merged into the
-//    single MetricsCollector in the documented cross-shard order: ascending
-//    time, ties to the lowest shard index, within a shard in log order
-//    (shard_merge_order is that comparator, exposed for tests). The merged
-//    stream feeds the collector the exact global aggregates, so the
-//    floating-point sequence — and hence every RunResult field — is
-//    bit-identical at every thread count.
-//
-// Execution alternates parallel windows with serial barriers: the horizon
-// is cut into `barriers` windows; within a window every shard runs
-// independently (EventQueue::run_until); at each barrier the sample logs
-// are merged and dropped (bounding memory), every cluster's placement-index
-// dirty log is replayed in one batch (VCluster::flush_index), and — when
-// the debug-audit flag is set — the full datacenter audit runs. After the
-// last window each shard drains its queue completely (fault repairs and
-// retries may fire past the horizon).
-//
-// With shards == 1 and the same Datacenter, replay_sharded is structurally
-// the serial replay(): same event schedule, same observation tuples, same
-// collector call sequence — proven bit-identical by tests/sim_shard_test.cpp.
+// Several shards alternate parallel windows with serial barriers: the
+// horizon is cut into `barriers` windows, each shard runs a window on its
+// own (EventQueue::run_until), and each barrier merges and drops the
+// samples, replays every placement index's dirty log in one batch
+// (VCluster::flush_index) and, with the debug-audit flag, audits the whole
+// datacenter. The last window drains every queue (fault repairs and
+// retries may fire past the horizon). One shard has nothing to
+// synchronize: it runs its queue to completion, pulls a row only once it
+// is due (arrival no later than the queue's next event) and hands each
+// observation straight to the collector, so memory stays O(active window).
+// How far ahead rows are pumped never changes results: a shard's
+// workload-lane order is the row order either way.
 #pragma once
 
 #include <cstddef>
@@ -47,12 +42,13 @@
 #include "sim/datacenter.hpp"
 #include "sim/metrics.hpp"
 #include "sim/replay.hpp"
+#include "sim/usage_monitor.hpp"
 #include "workload/trace.hpp"
 
 namespace slackvm::sim {
 
-/// Knobs of a sharded replay. The defaults run the serial reference (one
-/// shard, inline on the calling thread).
+/// Knobs of a replay. The defaults run one shard inline on the calling
+/// thread — exactly what replay() runs.
 struct ShardOptions {
   /// Shard count: clusters are dealt round-robin across shards. May exceed
   /// the cluster count (excess shards simply own nothing).
@@ -64,13 +60,18 @@ struct ShardOptions {
   /// Barrier windows the horizon is cut into (>= 1). More barriers bound
   /// sample-log memory tighter and refresh placement indexes more often;
   /// fewer maximize the parallel stretches. Results are identical either
-  /// way — barriers only batch work, they never reorder it.
+  /// way — barriers only batch work, they never reorder it. A one-shard
+  /// run has nothing to synchronize and ignores it.
   std::size_t barriers = 8;
-  /// Periodic consolidation, as in replay().
+  /// Periodic consolidation (see RebalanceOptions); validated on entry.
   std::optional<RebalanceOptions> rebalance;
-  /// Fault injection, as in replay(); each shard owns the timetable events
-  /// that target its clusters.
+  /// Fault injection; each shard owns the timetable events that target its
+  /// clusters.
   const FaultConfig* faults = nullptr;
+  /// Effective-usage samples at the monitor's interval, on the control
+  /// lane. sample_usage() reads every cluster at once, so a monitor needs
+  /// shards == 1 (the call throws otherwise).
+  UsageMonitor* usage_monitor = nullptr;
   /// Stall watchdog over every barrier wait (sim/parallel.hpp): when a
   /// window makes no progress for this long, per-shard progress (clusters
   /// owned, events fired, simulated time, in-flight migrations) is dumped
@@ -102,16 +103,14 @@ struct ShardSample {
 
 /// Drain `source` (sim/event_source.hpp) against `dc` (which must be
 /// fresh) with the clusters sharded per `options`. Rows are pulled
-/// incrementally: at each barrier the serial demux routes every row
-/// arriving before the next window's deadline to the shard owning its
-/// routed cluster (Datacenter::route — the same pure function the
-/// materialized path uses), in row order, on the workload lane; the final
-/// window drains the source completely. Resident memory is therefore
-/// O(active window + one window's arrivals), never O(trace). The source
-/// must provide a horizon hint (barrier windows and the fault timetable
-/// need it up-front) — pre-scan streaming files with TraceReader::scan, or
-/// materialize. Deterministic and bit-identical to replay() when
-/// options.shards == 1; bit-identical across options.threads always.
+/// incrementally — each barrier demuxes the next window's arrivals, one
+/// shard pulls rows as they come due — so resident memory is never
+/// O(trace). Barrier windows (shards > 1) and the control schedules
+/// (rebalance, usage monitor, faults) need the horizon up-front: the call
+/// throws if the source has no horizon hint then (pre-scan streaming files
+/// with TraceReader::scan, or materialize). While the debug-audit flag is
+/// set (sim/audit.hpp), every event is followed by an invariant audit that
+/// throws on the first violation. Bit-identical across options.threads.
 [[nodiscard]] RunResult replay_sharded(Datacenter& dc, EventSource& source,
                                        const ShardOptions& options = {});
 

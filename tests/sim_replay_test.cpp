@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/error.hpp"
 #include "sched/policy.hpp"
+#include "sim/shard.hpp"
+#include "sim/usage_monitor.hpp"
 #include "workload/generator.hpp"
 
 namespace slackvm::sim {
@@ -106,6 +111,42 @@ TEST(ReplayTest, FirstFitAndProgressBothPlaceAll) {
   Datacenter prog = Datacenter::shared(kWorker, sched::make_progress_policy);
   EXPECT_EQ(replay(ff, trace).placed_vms, trace.size());
   EXPECT_EQ(replay(prog, trace).placed_vms, trace.size());
+}
+
+// A pass schedule over a non-positive or non-finite interval would never
+// end; the engine rejects the options on entry, whichever way it is called.
+TEST(ReplayTest, RejectsNonPositiveOrNonFiniteRebalanceInterval) {
+  const workload::Trace trace({make_vm(1, 0, 7200, 4, gib(8), 1)});
+  for (const double interval : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("interval " + std::to_string(interval));
+    RebalanceOptions rebalance;
+    rebalance.interval = interval;
+    EXPECT_THROW(rebalance.validate(), core::SlackError);
+    Datacenter serial = Datacenter::shared(kWorker, sched::make_progress_policy);
+    EXPECT_THROW((void)replay(serial, trace, rebalance), core::SlackError);
+    Datacenter sharded =
+        Datacenter::shared_sharded(kWorker, sched::make_progress_policy, 2);
+    ShardOptions options;
+    options.shards = 2;
+    options.rebalance = rebalance;
+    EXPECT_THROW((void)replay_sharded(sharded, trace, options), core::SlackError);
+  }
+}
+
+// sample_usage() reads every cluster at once, which only a one-shard run
+// may do mid-window.
+TEST(ReplayTest, UsageMonitorNeedsOneShard) {
+  const workload::Trace trace({make_vm(1, 0, 7200, 4, gib(8), 1)});
+  UsageMonitor monitor(600.0);
+  Datacenter dc = Datacenter::shared_sharded(kWorker, sched::make_progress_policy, 2);
+  ShardOptions options;
+  options.shards = 2;
+  options.usage_monitor = &monitor;
+  EXPECT_THROW((void)replay_sharded(dc, trace, options), core::SlackError);
+  options.shards = 1;
+  (void)replay_sharded(dc, trace, options);
+  EXPECT_EQ(monitor.report().samples, 12U);  // t = 300, 900, ..., 6900
 }
 
 }  // namespace

@@ -77,8 +77,8 @@ int usage() {
                "                            cores; results identical at any value)\n"
                "         --index on|off    (incremental placement index; results\n"
                "                            identical, off replays the naive scan)\n"
-               "         --shards N        (sharded datacenter engine; 1 = serial\n"
-               "                            reference, > 1 runs shards on the thread\n"
+               "         --shards N        (replay engine shards; 1 = one inline\n"
+               "                            shard, > 1 runs shards on the thread\n"
                "                            pool; replay uses --parallelism threads)\n"
                "         --stream on|off   (replay: pull the trace through the\n"
                "                            streaming TraceReader [default] or\n"
@@ -367,11 +367,8 @@ int cmd_replay(const Args& args) {
                                        {core::OversubLevel{1}, core::OversubLevel{2},
                                         core::OversubLevel{3}},
                                        policy_factory(args), args.mem_oversub)
-          : (args.shards > 1
-                 ? sim::Datacenter::shared_sharded(worker, policy_factory(args),
-                                                   args.shards, args.mem_oversub)
-                 : sim::Datacenter::shared(worker, policy_factory(args),
-                                           args.mem_oversub));
+          : sim::Datacenter::shared_sharded(worker, policy_factory(args), args.shards,
+                                            args.mem_oversub);
   dc.set_index_enabled(args.use_index);
   std::optional<sim::RebalanceOptions> rebalance;
   if (args.rebalance_s > 0) {
@@ -404,19 +401,13 @@ int cmd_replay(const Args& args) {
     source = std::make_unique<sim::MaterializedSource>(trace);
   }
 
-  sim::RunResult result;
-  if (args.shards > 1) {
-    sim::ShardOptions shard_options;
-    shard_options.shards = args.shards;
-    shard_options.threads = args.parallelism;
-    shard_options.rebalance = rebalance;
-    shard_options.faults = fault_ptr;
-    shard_options.watchdog_ms =
-        static_cast<std::size_t>(args.watchdog_s * 1000.0);
-    result = sim::replay_sharded(dc, *source, shard_options);
-  } else {
-    result = sim::replay(dc, *source, rebalance, nullptr, fault_ptr);
-  }
+  sim::ShardOptions shard_options;
+  shard_options.shards = args.shards;
+  shard_options.threads = args.parallelism;
+  shard_options.rebalance = rebalance;
+  shard_options.faults = fault_ptr;
+  shard_options.watchdog_ms = static_cast<std::size_t>(args.watchdog_s * 1000.0);
+  const sim::RunResult result = sim::replay_sharded(dc, *source, shard_options);
   std::printf("mode %s, policy %s, mem oversub %.2fx, shards %zu, %s trace\n",
               args.mode.c_str(), args.policy.c_str(), args.mem_oversub, args.shards,
               args.stream ? "streamed" : "materialized");
